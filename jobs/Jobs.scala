@@ -8,7 +8,7 @@ import repro.tables.Tables
 /** Shared SparkSession builder for spark-submit entrypoints. */
 object JobSession {
   def build(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -84,7 +84,6 @@ object InferJob {
   def main(args: Array[String]): Unit = {
     val Array(ds, modelPath, sampling, out) = args.take(4)
     val spark = JobSession.build(s"GraphInfer-$ds")
-    import spark.implicits._
     val g = JobSession.dataset(ds)
     val tm = ModelIO.load(modelPath)
     val cfg = FlatConfig(tm.spec.layers, JobSession.samplingOf(sampling),

@@ -1,21 +1,13 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.LongAccumulator
 import repro.graph._
-import repro.nn.{Model, TrainedModel}
-
-/** One executor-side materialized model per broadcast, so reducers don't
-  * rebuild layer objects per node. applyOne only reads parameters, so
-  * concurrent tasks can share the instance.
-  */
-object ModelCache {
-  private val cache = new ConcurrentHashMap[Long, Model]()
-  def get(bcId: Long, tm: => TrainedModel): Model =
-    cache.computeIfAbsent(bcId, _ => tm.materialize())
-}
+import repro.linalg.{Csr, Mat}
+import repro.nn.{GnnLayer, Model, TrainedModel}
+import scala.collection.mutable
 
 /** GraphInfer (§3.4): hierarchical model segmentation + K+1 rounds of
   * MapReduce message passing.
@@ -27,6 +19,10 @@ object ModelCache {
   * prediction slice. Every node's intermediate embedding is computed exactly
   * once — no overlap-induced recomputation.
   *
+  * A slice is the trainer's own batched `forward`: each reducer task
+  * materializes its model from the broadcast and runs its partition's groups
+  * through the layer as one CSR batch (`forwardGroups`).
+  *
   * Sampling/re-indexing use the same `Sampling.selectInEdges` (same seed,
   * same hub set) as GraphFlat, so inference sees precisely the neighborhoods
   * the model was trained on.
@@ -35,6 +31,13 @@ object GraphInfer {
 
   case class Emb(id: Long, vec: Array[Double])
   case class InMsg(key: Long, src: Long, weight: Float, vec: Array[Double], isSelf: Boolean)
+  /** A reducer's input after sampling: the node's own embedding and its kept
+    * in-edge messages, in sampled order.
+    */
+  case class Group(key: Long, self: Array[Double], nbrs: Array[InMsg])
+
+  /** Groups per batched forward, bounding a reducer's working set. */
+  private val BatchGroups = 4096
 
   /** Returns per-node K-layer embeddings (before the prediction slice). */
   def inferEmbeddings(
@@ -43,12 +46,19 @@ object GraphInfer {
       edges: Dataset[GEdge],
       tm: TrainedModel,
       cfg: FlatConfig
+  ): Dataset[Emb] = embeddings(spark, nodes, edges, spark.sparkContext.broadcast(tm), cfg)
+
+  private def embeddings(
+      spark: SparkSession,
+      nodes: Dataset[LabeledNode],
+      edges: Dataset[GEdge],
+      bcModel: Broadcast[TrainedModel],
+      cfg: FlatConfig
   ): Dataset[Emb] = {
     import spark.implicits._
-    require(cfg.k == tm.spec.layers, "GraphInfer rounds must equal model depth")
+    val layers = bcModel.value.spec.layers
+    require(cfg.k == layers, "GraphInfer rounds must equal model depth")
     val hubs = spark.sparkContext.broadcast(GraphFlat.hubIds(edges, cfg))
-    val bcModel = spark.sparkContext.broadcast(tm)
-    val bcId = bcModel.id
     val sampling = cfg.sampling
     val seed = cfg.seed
     val numSalts = cfg.numSalts
@@ -60,7 +70,7 @@ object GraphInfer {
     state.count()
 
     var k = 0
-    while (k < tm.spec.layers) {
+    while (k < layers) {
       val layerIdx = k
       val selfMsgs = state.map(e => InMsg(e.id, e.id, 0f, e.vec, isSelf = true))
       val nbMsgs = state
@@ -77,8 +87,11 @@ object GraphInfer {
           val sel = Sampling.selectInEdges[InMsg](
             cands, _.src, _.weight.toDouble, sampling, seed, key,
             isHub = hubs.value.contains(key), numSalts = numSalts)
-          val model = ModelCache.get(bcId, bcModel.value)
-          Emb(key, model.gnn(layerIdx).applyOne(self.vec, sel.map(_.vec).toArray))
+          Group(key, self.vec, sel.toArray)
+        }
+        .mapPartitions { it =>
+          val layer = bcModel.value.materialize().gnn(layerIdx)
+          it.grouped(BatchGroups).flatMap(b => forwardGroups(layer, b.toIndexedSeq))
         }
         .persist(StorageLevel.MEMORY_AND_DISK)
       newState.count()
@@ -87,6 +100,34 @@ object GraphInfer {
       k += 1
     }
     state
+  }
+
+  /** Applies `layer` to a batch of groups in one `forward` call. Destinations
+    * take rows 0 until groups.length and are the CSR's active rows; each
+    * other distinct source id gets one row after them, so a node feeding
+    * several destinations is projected once. Row entries keep the sampled
+    * order.
+    */
+  private def forwardGroups(layer: GnnLayer, groups: IndexedSeq[Group]): IndexedSeq[Emb] = {
+    val rowOf = mutable.LongMap.empty[Int]
+    val rows = mutable.ArrayBuffer.empty[Array[Double]]
+    def intern(id: Long, vec: Array[Double]): Int =
+      rowOf.getOrElseUpdate(id, { rows += vec; rows.length - 1 })
+    groups.foreach(g => intern(g.key, g.self))
+    val nnz = groups.map(_.nbrs.length).sum
+    val colIdx = new Array[Int](nnz)
+    val weight = new Array[Double](nnz)
+    var e = 0
+    groups.foreach(_.nbrs.foreach { m =>
+      colIdx(e) = intern(m.src, m.vec); weight(e) = m.weight; e += 1
+    })
+    val rowPtr = new Array[Int](rows.length + 1)
+    groups.indices.foreach(i => rowPtr(i + 1) = rowPtr(i) + groups(i).nbrs.length)
+    java.util.Arrays.fill(rowPtr, groups.length + 1, rowPtr.length, nnz)
+    val adj = new Csr(rows.length, rowPtr, colIdx, weight, Array.range(0, nnz),
+      activeRows = Array.range(0, groups.length))
+    val out = layer.forward(adj, Mat.fromRows(rows.toSeq), threads = 1)
+    groups.indices.map(i => Emb(groups(i).key, out.row(i)))
   }
 
   /** Full pipeline: K embedding rounds + the prediction slice. Returns
@@ -100,27 +141,19 @@ object GraphInfer {
       cfg: FlatConfig
   ): Dataset[(Long, Array[Double])] = {
     import spark.implicits._
-    val emb = inferEmbeddings(spark, nodes, edges, tm, cfg)
     val bcModel = spark.sparkContext.broadcast(tm)
-    val bcId = bcModel.id
-    val task = tm.spec.task
-    val scores = emb.map { e =>
-      val model = ModelCache.get(bcId, bcModel.value)
-      val logits = model.predictor.applyOne(e.vec)
-      (e.id, activate(logits, task))
+    val emb = embeddings(spark, nodes, edges, bcModel, cfg)
+    val scores = emb.mapPartitions { it =>
+      val model = bcModel.value.materialize()
+      it.grouped(BatchGroups).flatMap { b =>
+        val s = Model.activateScores(model.predictor.forward(Mat.fromRows(b.map(_.vec))), model.spec.task)
+        b.iterator.zipWithIndex.map { case (e, i) => (e.id, s.row(i)) }
+      }
     }.persist(StorageLevel.MEMORY_AND_DISK)
     scores.count()
     emb.unpersist()
     scores
   }
-
-  def activate(logits: Array[Double], task: String): Array[Double] =
-    if (task == "softmax") {
-      val mx = logits.max
-      val ex = logits.map(x => math.exp(x - mx))
-      val s = ex.sum
-      ex.map(_ / s)
-    } else logits.map(x => 1.0 / (1.0 + math.exp(-x)))
 }
 
 /** The "Original" inference baseline of Table 5: run GraphFlat for *every*
@@ -146,17 +179,17 @@ object OriginalInfer {
     require(cfg.k == tm.spec.layers)
     val flat = GraphFlat.run(spark, nodes, edges, cfg)
     val bcModel = spark.sparkContext.broadcast(tm)
-    val bcId = bcModel.id
     val layers = tm.spec.layers
-    val scores = flat.map { gf =>
-      val model = ModelCache.get(bcId, bcModel.value)
-      val ex = Example(gf.target, Array.fill(tm.spec.numClasses)(0f), gf)
-      val vb = Vectorize(Seq(ex), layers, prune = true)
-      // every node row of every layer is recomputed for this one target
-      embAcc.foreach(_.add(gf.numNodes.toLong * layers))
-      recAcc.foreach(_.add(gf.numNodes.toLong))
-      val s = model.predictScores(vb, 1)
-      (gf.target, s.row(0))
+    val scores = flat.mapPartitions { it =>
+      val model = bcModel.value.materialize()
+      it.map { gf =>
+        val ex = Example(gf.target, Array.fill(model.spec.numClasses)(0f), gf)
+        val vb = Vectorize(Seq(ex), layers, prune = true)
+        // every node row of every layer is recomputed for this one target
+        embAcc.foreach(_.add(gf.numNodes.toLong * layers))
+        recAcc.foreach(_.add(gf.numNodes.toLong))
+        (gf.target, model.predictScores(vb, 1).row(0))
+      }
     }.persist(StorageLevel.MEMORY_AND_DISK)
     scores.count()
     flat.unpersist()

@@ -99,19 +99,27 @@ object LocalTrainer {
         try {
           batches.foreach(b => q.put(Some(Vectorize(b, layers, opts.prune))))
           q.put(None)
-        } catch { case t: Throwable => err = t; q.put(None) }
+        } catch {
+          case _: InterruptedException => // the consumer stopped early
+          case t: Throwable => err = t; q.put(None)
+        }
       }, "agl-vectorize")
       producer.setDaemon(true)
       producer.start()
-      var done = false
-      while (!done) {
-        q.poll(300, TimeUnit.SECONDS) match {
-          case Some(vb) => f(vb)
-          case None     => done = true
-          case null     => throw new IllegalStateException("vectorization pipeline stalled")
+      try {
+        var done = false
+        while (!done) {
+          q.poll(300, TimeUnit.SECONDS) match {
+            case Some(vb) => f(vb)
+            case None     => done = true
+            case null     => throw new IllegalStateException("vectorization pipeline stalled")
+          }
         }
+      } finally {
+        // if `f` threw, the producer may be blocked in q.put with batches in hand
+        producer.interrupt()
+        producer.join()
       }
-      producer.join()
       if (err != null) throw err
     }
   }

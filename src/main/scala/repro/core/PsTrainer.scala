@@ -44,7 +44,9 @@ object PsTrainer {
     val rdd = trainSet.rdd
       .repartition(opts.numWorkers)
       .persist(StorageLevel.MEMORY_AND_DISK)
-    rdd.count()
+    val numExamples = rdd.count()
+    if (numExamples == 0) rdd.unpersist()
+    require(numExamples > 0, "PsTrainer: the training set is empty")
 
     val proto = Model.build(spec, opts.seed)
     val params = proto.getParamsRef

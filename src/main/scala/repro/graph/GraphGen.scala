@@ -32,9 +32,8 @@ case class LocalGraph(
   def featDim: Int = nodes.head.feat.length
 }
 
-/** Synthetic graph generators — the graph-data extension of `repro.SynthData`
-  * (which covers TPC-H-lite relational tables; graph ML needs attributed
-  * graphs instead). All are deterministic in their seed.
+/** Synthetic attributed-graph generators standing in for the paper's Cora,
+  * PPI and UUG datasets. All are deterministic in their seed.
   */
 object GraphGen {
 
@@ -214,7 +213,7 @@ object GraphGen {
       i += 1
     }
     // zipf-destination noise edges: hubs = low node ids
-    val zipfNorm = (1L to math.min(n.toLong, 10000L)).map(k => 1.0 / math.pow(k, zipfAlpha)).sum
+    val zipfNorm = (1L to math.min(n.toLong, 10000L)).map(k => 1.0 / math.pow(k.toDouble, zipfAlpha)).sum
     val nNoise = (n * avgSocialDeg * noiseEdgeFrac).toInt
     i = 0
     while (i < nNoise) {

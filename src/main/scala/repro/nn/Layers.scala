@@ -12,11 +12,10 @@ import scala.util.Random
   * edge-partitioning unit (`threads`).
   *
   * Layers cache forward intermediates, so one instance serves exactly one
-  * in-flight batch (the trainer builds a model per worker/partition).
-  * `applyOne` is the *model slice* used by GraphInfer's reducers: it computes
-  * the same function for a single node given its own and its in-edge
-  * neighbors' embeddings, and must agree with `forward` up to floating-point
-  * summation order.
+  * in-flight batch (the trainer builds a model per worker/partition, and so
+  * does each GraphInfer task). `forward` is also GraphInfer's *model slice*:
+  * its reducers run a partition's destinations as the active rows of one
+  * batch, so training and inference share one implementation of the math.
   */
 trait GnnLayer extends Serializable {
   def inDim: Int
@@ -25,7 +24,6 @@ trait GnnLayer extends Serializable {
   def grads: Array[Mat]
   def forward(adj: Csr, h: Mat, threads: Int): Mat
   def backward(adj: Csr, dOut: Mat): Mat
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double]
   def zeroGrads(): Unit = grads.foreach(g => java.util.Arrays.fill(g.data, 0.0))
 }
 
@@ -186,24 +184,6 @@ final class GcnLayer(val inDim: Int, val outDim: Int, val w: Mat, val b: Mat) ex
     val dAgg = RowOps.backRows(adj, dPre, w)
     adj.meanAggregateBackward(dAgg)
   }
-
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
-    val agg = self.clone()
-    neighbors.foreach { nb => var i = 0; while (i < agg.length) { agg(i) += nb(i); i += 1 } }
-    val inv = 1.0 / (1 + neighbors.length)
-    var i = 0
-    while (i < agg.length) { agg(i) *= inv; i += 1 }
-    val out = new Array[Double](outDim)
-    var c = 0
-    while (c < outDim) {
-      var s = b.data(c)
-      var k = 0
-      while (k < inDim) { s += agg(k) * w.data(k * outDim + c); k += 1 }
-      out(c) = Act.relu(s)
-      c += 1
-    }
-    out
-  }
 }
 
 /** GraphSAGE layer with the "add" combiner noted in the paper's Table 3
@@ -236,29 +216,6 @@ final class SageLayer(val inDim: Int, val outDim: Int, val wSelf: Mat, val wNb: 
     val dH = RowOps.backRows(adj, dPre, wSelf)
     dH.axpy(1.0, adj.neighborMeanBackward(RowOps.backRows(adj, dPre, wNb)))
     dH
-  }
-
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
-    val nm = new Array[Double](inDim)
-    if (neighbors.nonEmpty) {
-      neighbors.foreach { nb => var i = 0; while (i < inDim) { nm(i) += nb(i); i += 1 } }
-      val inv = 1.0 / neighbors.length
-      var i = 0
-      while (i < inDim) { nm(i) *= inv; i += 1 }
-    }
-    val out = new Array[Double](outDim)
-    var c = 0
-    while (c < outDim) {
-      var s = b.data(c)
-      var k = 0
-      while (k < inDim) {
-        s += self(k) * wSelf.data(k * outDim + c) + nm(k) * wNb.data(k * outDim + c)
-        k += 1
-      }
-      out(c) = Act.relu(s)
-      c += 1
-    }
-    out
   }
 }
 
@@ -414,45 +371,6 @@ final class GatLayer(val inDim: Int, val outDim: Int, val w: Mat, val aDst: Mat,
     dw.axpy(1.0, hC.mmTN(dz))
     dz.mmNT(w)
   }
-
-  def applyOne(self: Array[Double], neighbors: Array[Array[Double]]): Array[Double] = {
-    def proj(x: Array[Double]): Array[Double] = {
-      val z = new Array[Double](outDim)
-      var c = 0
-      while (c < outDim) {
-        var s = 0.0
-        var k = 0
-        while (k < inDim) { s += x(k) * w.data(k * outDim + c); k += 1 }
-        z(c) = s
-        c += 1
-      }
-      z
-    }
-    val zSelf = proj(self)
-    val zNb = neighbors.map(proj)
-    def dot(a: Array[Double], b: Mat): Double = {
-      var s = 0.0; var c = 0
-      while (c < outDim) { s += a(c) * b.data(c); c += 1 }
-      s
-    }
-    val sD = dot(zSelf, aDst)
-    val scores = zNb.map(z => Act.leaky(sD + dot(z, aSrc))) :+ Act.leaky(sD + dot(zSelf, aSrc))
-    val mx = scores.max
-    val exps = scores.map(s => math.exp(s - mx))
-    val inv = 1.0 / exps.sum
-    val out = new Array[Double](outDim)
-    var j = 0
-    while (j < zNb.length) {
-      val a = exps(j) * inv
-      var c = 0
-      while (c < outDim) { out(c) += a * zNb(j)(c); c += 1 }
-      j += 1
-    }
-    val aS = exps.last * inv
-    var c = 0
-    while (c < outDim) { out(c) = Act.elu(out(c) + aS * zSelf(c)); c += 1 }
-    out
-  }
 }
 
 /** Final prediction slice: logits = H W + b over target rows only. */
@@ -486,19 +404,6 @@ final class Dense(val inDim: Int, val outDim: Int, val w: Mat, val b: Mat) exten
       r += 1
     }
     dOut.mmNT(w)
-  }
-
-  def applyOne(self: Array[Double]): Array[Double] = {
-    val out = new Array[Double](outDim)
-    var c = 0
-    while (c < outDim) {
-      var s = b.data(c)
-      var k = 0
-      while (k < inDim) { s += self(k) * w.data(k * outDim + c); k += 1 }
-      out(c) = s
-      c += 1
-    }
-    out
   }
 }
 

@@ -39,7 +39,6 @@ object Tables {
       g: LocalGraph,
       cfg: FlatConfig
   ): Map[String, Array[Example]] = {
-    import spark.implicits._
     val labeled = g.nodes.filter(n => n.split != "none").map(n => n.id -> n).toMap
     val wanted = spark.sparkContext.broadcast(labeled.keySet)
     val flat = GraphFlat.run(spark, g.nodeDs(spark), g.edgeDs(spark), cfg)

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.graph._
 
 /** Builders for hand-made graphs in the Spark suites. */

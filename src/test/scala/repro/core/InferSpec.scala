@@ -19,21 +19,55 @@ class InferSpec extends SparkSpec {
 
   private lazy val g = GraphGen.uugLite(n = 150)
 
+  private def assertEmbeddingsMatchFullGraph(graph: LocalGraph, tm: TrainedModel): Unit = {
+    val layers = tm.spec.layers
+    val cfg = FlatConfig(layers, NoSampling, seed = 3)
+    val emb = GraphInfer.inferEmbeddings(spark, graph.nodeDs(spark), graph.edgeDs(spark), tm, cfg)
+      .collect().map(e => e.id -> e.vec).toMap
+    val vb = FullGraphTrainer.vectorizeFull(graph, layers, "train")
+    val full = tm.materialize().forwardEmb(vb.adjs, vb.x, 1)
+    assert(emb.size == graph.nodes.length)
+    graph.nodes.zipWithIndex.foreach { case (nd, idx) =>
+      val diff = emb(nd.id).zip(full.row(idx)).map { case (x, y) => math.abs(x - y) }.max
+      assert(diff < 1e-8, s"node ${nd.id} embedding diff $diff")
+    }
+  }
+
   for (kind <- Seq("gcn", "sage", "gat"); layers <- Seq(1, 2)) {
     test(s"GraphInfer embeddings equal full-graph forward ($kind, $layers-layer, no sampling)") {
-      val tm = randomTm(kind, layers, seed = kind.hashCode + layers)
-      val cfg = FlatConfig(layers, NoSampling, seed = 3)
-      val emb = GraphInfer.inferEmbeddings(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg)
-        .collect().map(e => e.id -> e.vec).toMap
-      val vb = FullGraphTrainer.vectorizeFull(g, layers, "train")
-      val model = tm.materialize()
-      val full = model.forwardEmb(vb.adjs, vb.x, 1)
-      g.nodes.zipWithIndex.foreach { case (nd, idx) =>
-        val a = emb(nd.id)
-        val b = full.row(idx)
-        val diff = a.zip(b).map { case (x, y) => math.abs(x - y) }.max
-        assert(diff < 1e-8, s"node ${nd.id} embedding diff $diff")
-      }
+      assertEmbeddingsMatchFullGraph(g, randomTm(kind, layers, seed = kind.hashCode + layers))
+    }
+  }
+
+  /** Nodes 7 and 8 are isolated; 1, 2 and 6 are sources only (in-degree 0). */
+  private lazy val sparse: LocalGraph = {
+    val rng = new scala.util.Random(8)
+    val nodes = (1L to 8L).map(id =>
+      LabeledNode(id, Array.fill(32)(rng.nextFloat() - 0.5f), Array(0f), "train")).toArray
+    val edges = Seq((1L, 3L), (2L, 3L), (3L, 4L), (1L, 4L), (4L, 5L), (5L, 3L), (6L, 5L))
+      .map { case (s, d) => GEdge(s, d, 1f, Array(1f)) }.toArray
+    LocalGraph("sparse", nodes, edges, 1, "bce")
+  }
+
+  for (kind <- Seq("gcn", "sage", "gat")) {
+    test(s"GraphInfer embeddings equal full-graph forward with isolated and source-only nodes ($kind)") {
+      assertEmbeddingsMatchFullGraph(sparse, randomTm(kind, 2, seed = 7 + kind.hashCode))
+    }
+  }
+
+  test("GraphInfer scores agree between one shuffle partition and many (batches never mix neighborhoods)") {
+    val cfg = FlatConfig(2, UniformSampling(5), reindexThreshold = 20, numSalts = 4, seed = 11)
+    val key = "spark.sql.shuffle.partitions"
+    val default = spark.conf.get(key)
+    for (kind <- Seq("gcn", "sage", "gat")) {
+      val tm = randomTm(kind, 2, seed = 21 + kind.hashCode)
+      def run() = GraphInfer.inferScores(spark, g.nodeDs(spark), g.edgeDs(spark), tm, cfg).collect().toMap
+      val many = run()
+      spark.conf.set(key, "1")
+      val one = try run() finally spark.conf.set(key, default)
+      assert(one.keySet == many.keySet)
+      val worst = many.keys.map(id => many(id).zip(one(id)).map { case (a, b) => math.abs(a - b) }.max).max
+      assert(worst < 1e-12, s"$kind: worst score diff $worst")
     }
   }
 

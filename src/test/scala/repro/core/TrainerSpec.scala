@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import scala.jdk.CollectionConverters._
 import repro.graph._
 import repro.nn.ModelSpec
 import repro.tables.Tables
@@ -89,6 +90,28 @@ class TrainerSpec extends SparkSpec {
     // sizes divide evenly; 40 examples / 10 per batch divides for both.
     val maxDiff = a.zip(b).flatMap { case (x, y) => x.zip(y).map { case (u, v) => math.abs(u - v) } }.max
     assert(maxDiff < 1e-9, s"PS params diverge across worker counts: $maxDiff")
+  }
+
+  test("PsTrainer rejects an empty training set with a clear error") {
+    import spark.implicits._
+    val e = intercept[IllegalArgumentException] {
+      PsTrainer.train(spark, spark.emptyDataset[FlatExample], Array.empty, spec("gcn"),
+        PsOpts(epochs = 1, batchSize = 8, lr = 0.01, numWorkers = 2))
+    }
+    assert(e.getMessage.contains("training set is empty"))
+  }
+
+  test("a consumer failing on the first batch stops the vectorize pipeline thread") {
+    val batches = tinyEx("train").toSeq.grouped(8).toSeq
+    assert(batches.length > 5)
+    val e = intercept[RuntimeException] {
+      LocalTrainer.foreachVectorized(batches, 2, TrainOpts(epochs = 1, batchSize = 8, lr = 0.0)) { _ =>
+        throw new RuntimeException("consumer failed")
+      }
+    }
+    assert(e.getMessage == "consumer failed")
+    val live = Thread.getAllStackTraces.keySet.asScala.filter(t => t.getName == "agl-vectorize" && t.isAlive)
+    assert(live.isEmpty, s"${live.size} live agl-vectorize threads")
   }
 
   test("evaluate on a TrainedModel reproduces in-training evaluation") {

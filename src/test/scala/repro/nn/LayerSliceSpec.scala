@@ -1,14 +1,17 @@
 package repro.nn
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.linalg.Mat
+import repro.linalg.{Csr, Mat}
 import scala.util.Random
 
-/** The hierarchical-model-segmentation invariant (§3.4): applying layer
-  * slices per node over in-neighbors (what GraphInfer's reducers do) must
-  * equal the batch forward pass (what GraphTrainer does).
+/** The hierarchical-model-segmentation invariant (§3.4): the batch forward
+  * pass (what GraphTrainer and GraphInfer's reducers run) must equal the
+  * naive per-node slices of `NnTestUtil.applyOne` over in-neighbors.
   */
 class LayerSliceSpec extends AnyFunSuite {
+
+  private def close(a: Array[Double], b: Array[Double], tol: Double): Boolean =
+    a.length == b.length && a.zip(b).forall { case (x, y) => math.abs(x - y) < tol }
 
   for (kind <- Seq("gcn", "sage", "gat"); layers <- Seq(1, 2, 3)) {
     test(s"applyOne slices of $layers-layer $kind equal batch forward") {
@@ -25,14 +28,18 @@ class LayerSliceSpec extends AnyFunSuite {
 
   test("applyOne on a node with no neighbors (gcn: self mean; sage: zero neighbor term)") {
     val rng = new Random(3)
-    val gcn = LayerInit.gcn(3, 2, rng)
     val self = Array(1.0, -2.0, 0.5)
-    val out = gcn.applyOne(self, Array.empty)
-    // mean over {self} is self itself
-    val expected = (0 until 2).map { c =>
-      math.max(0.0, (0 until 3).map(k => self(k) * gcn.w(k, c)).sum + gcn.b(0, c))
+    val lone = Csr.fromEdges(1, Seq.empty)
+    def reluAffine(w: Mat, b: Mat) = Array.tabulate(2) { c =>
+      math.max(0.0, (0 until 3).map(k => self(k) * w(k, c)).sum + b(0, c))
     }
-    assert(out.toSeq.zip(expected).forall { case (a, b) => math.abs(a - b) < 1e-12 })
+    val gcn = LayerInit.gcn(3, 2, rng)
+    val sage = LayerInit.sage(3, 2, rng)
+    // mean over {self} is self itself; SAGE's neighbor mean is zero
+    for ((layer, expected) <- Seq(gcn -> reluAffine(gcn.w, gcn.b), sage -> reluAffine(sage.wSelf, sage.b))) {
+      assert(close(layer.forward(lone, Mat.fromRows(Seq(self)), 1).row(0), expected, 1e-12))
+      assert(close(NnTestUtil.applyOne(layer, self, Seq.empty), expected, 1e-12))
+    }
   }
 
   test("gat applyOne attention weights sum to one (implied by convexity of output)") {
@@ -40,9 +47,11 @@ class LayerSliceSpec extends AnyFunSuite {
     val gat = LayerInit.gat(3, 3, rng)
     // identical self and neighbors => output is elu(z) regardless of weights
     val v = Array(0.3, -0.1, 0.8)
-    val a = gat.applyOne(v, Array(v.clone(), v.clone()))
-    val b = gat.applyOne(v, Array.empty)
-    assert(a.toSeq.zip(b.toSeq).forall { case (x, y) => math.abs(x - y) < 1e-12 })
+    val star = Csr.fromEdges(3, Seq((1, 0, 1.0, 0), (2, 0, 1.0, 1)))
+    val a = gat.forward(star, Mat.fromRows(Seq(v, v, v)), 1).row(0)
+    val b = gat.forward(Csr.fromEdges(1, Seq.empty), Mat.fromRows(Seq(v)), 1).row(0)
+    assert(close(a, b, 1e-12))
+    assert(close(NnTestUtil.applyOne(gat, v, Seq(v, v)), b, 1e-12))
   }
 
   test("dense applyOne equals batch forward row") {
@@ -50,10 +59,7 @@ class LayerSliceSpec extends AnyFunSuite {
     val d = LayerInit.dense(4, 3, rng)
     val h = Mat.rand(5, 4, rng)
     val batch = d.forward(h)
-    for (r <- 0 until 5) {
-      val one = d.applyOne(h.row(r))
-      assert(one.toSeq.zip(batch.row(r).toSeq).forall { case (a, b) => math.abs(a - b) < 1e-12 })
-    }
+    for (r <- 0 until 5) assert(close(NnTestUtil.applyOne(d, h.row(r)), batch.row(r), 1e-12))
   }
 
   test("predictor slice + activation equals predictScores") {
@@ -61,13 +67,11 @@ class LayerSliceSpec extends AnyFunSuite {
     val vb = NnTestUtil.randomBatch(spec, n = 10, e = 30, numTargets = 4, seed = 13)
     val model = Model.build(spec, 2)
     val scores = model.predictScores(vb, 1)
-    val emb = model.forwardEmb(vb.adjs, vb.x, 1)
+    val emb = NnTestUtil.sliceForward(model, vb.adjs(0), vb.x)
     for ((t, i) <- vb.targets.zipWithIndex) {
-      val logits = model.predictor.applyOne(emb.row(t))
-      val mx = logits.max
-      val ex = logits.map(x => math.exp(x - mx)); val s = ex.sum
-      val probs = ex.map(_ / s)
-      assert(probs.toSeq.zip(scores.row(i).toSeq).forall { case (a, b) => math.abs(a - b) < 1e-9 })
+      val logits = NnTestUtil.applyOne(model.predictor, emb.row(t))
+      val ex = logits.map(x => math.exp(x - logits.max))
+      assert(close(ex.map(_ / ex.sum), scores.row(i), 1e-9))
     }
   }
 

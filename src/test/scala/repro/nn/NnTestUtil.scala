@@ -66,9 +66,40 @@ object NnTestUtil {
     (worstRel, worstAbs)
   }
 
-  /** Reference "sliced" inference: compute every node's embedding layer by
-    * layer via applyOne over its in-neighbors — what GraphInfer does, without
-    * Spark. Used to check applyOne == batch forward.
+  /** Naive per-node reference for each layer's math, written for clarity,
+    * not speed: one node's output from its own input row and its in-edge
+    * neighbors' rows. Production has a single implementation (the batched
+    * `forward`, which GraphInfer also runs); the layer tests compare it with
+    * this second one.
+    */
+  def applyOne(layer: GnnLayer, self: Array[Double], nbrs: Seq[Array[Double]]): Array[Double] =
+    layer match {
+      case l: GcnLayer => plus(times(mean(self +: nbrs), l.w), l.b.data).map(Act.relu)
+      case l: SageLayer =>
+        val nbMean = if (nbrs.isEmpty) new Array[Double](l.inDim) else mean(nbrs)
+        plus(plus(times(self, l.wSelf), times(nbMean, l.wNb)), l.b.data).map(Act.relu)
+      case l: GatLayer =>
+        val zSelf = times(self, l.w)
+        val z = nbrs.map(times(_, l.w)) :+ zSelf
+        val score = z.map(zu => Act.leaky(dot(zSelf, l.aDst.data) + dot(zu, l.aSrc.data)))
+        val ex = score.map(e => math.exp(e - score.max))
+        val alpha = ex.map(_ / ex.sum)
+        Array.tabulate(l.outDim)(c => Act.elu(z.indices.map(u => alpha(u) * z(u)(c)).sum))
+    }
+
+  /** The prediction slice for one node: logits = h W + b. */
+  def applyOne(d: Dense, h: Array[Double]): Array[Double] = plus(times(h, d.w), d.b.data)
+
+  private def times(x: Array[Double], w: Mat): Array[Double] =
+    Array.tabulate(w.cols)(c => x.indices.map(k => x(k) * w(k, c)).sum)
+  private def plus(a: Array[Double], b: Array[Double]): Array[Double] =
+    a.zip(b).map { case (x, y) => x + y }
+  private def dot(a: Array[Double], b: Array[Double]): Double = a.indices.map(i => a(i) * b(i)).sum
+  private def mean(rows: Seq[Array[Double]]): Array[Double] =
+    rows.map(_.toSeq).transpose.map(_.sum / rows.length).toArray
+
+  /** Every node's embedding, layer by layer, through [[applyOne]] over its
+    * in-neighbors: what GraphInfer computes, without Spark or batching.
     */
   def sliceForward(model: Model, csr: Csr, x: Mat): Mat = {
     var h = x
@@ -76,8 +107,8 @@ object NnTestUtil {
       val layer = model.gnn(k)
       val next = Mat.zeros(csr.numRows, layer.outDim)
       for (v <- 0 until csr.numRows) {
-        val nbrs = (csr.rowPtr(v) until csr.rowPtr(v + 1)).map(e => h.row(csr.colIdx(e))).toArray
-        next.setRow(v, layer.applyOne(h.row(v), nbrs))
+        val nbrs = (csr.rowPtr(v) until csr.rowPtr(v + 1)).map(e => h.row(csr.colIdx(e)))
+        next.setRow(v, applyOne(layer, h.row(v), nbrs))
       }
       h = next
     }
